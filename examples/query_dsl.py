@@ -4,9 +4,8 @@
 This example builds the shipped-orders workload, then walks through the
 `repro.api` surface:
 
-* an expression-DSL filter with `|` and `~` (shapes the old AND-only
-  `Query.filter` could not express), lowered onto the chunk-parallel scan
-  with zone maps and compressed-form pushdown;
+* an expression-DSL filter with `|` and `~`, lowered onto the
+  chunk-parallel scan with zone maps and compressed-form pushdown;
 * a derived column (`revenue = price * quantity`) evaluated per chunk
   *inside* the scan, against its shared decompressed buffers;
 * `explain()` — the optimized plan with per-conjunct pushdown class and

@@ -25,9 +25,6 @@ Structure:
 * :mod:`repro.api.lower` — lowering onto the chunk-parallel scan scheduler
   (:func:`repro.engine.scan.scan_table`) and the engine's operator kernels;
 * :mod:`repro.api.dataset` — the :class:`Dataset` facade tying it together.
-
-The eager :class:`repro.engine.query.Query` builder is a compatibility shim
-over this package.
 """
 
 from .dataset import Dataset, GroupedDataset, dataset

@@ -728,34 +728,6 @@ class Alias(Expr):
         return f"{self.inner!r} AS {self.name}"
 
 
-class WrappedPredicate(Expr):
-    """An engine :class:`~repro.engine.predicates.Predicate` lifted into the DSL.
-
-    Used by the :class:`~repro.engine.query.Query` compatibility shim so the
-    lowering pass hands the *exact same predicate object* back to the scan —
-    guaranteeing bit-identical results and :class:`ScanStats` versus the
-    pre-DSL engine.
-    """
-
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Any):
-        self.predicate = predicate
-
-    def columns(self) -> List[str]:
-        return [self.predicate.column_name]
-
-    def evaluate(self, env: ValueEnv) -> np.ndarray:
-        from ..columnar.column import Column
-        return self.predicate.evaluate(Column(env[self.predicate.column_name])).values
-
-    def decide(self, env: BoundsEnv) -> Optional[bool]:
-        return None  # chunk decisions go through the predicate itself in the scan
-
-    def __repr__(self) -> str:
-        return repr(self.predicate)
-
-
 # --------------------------------------------------------------------------- #
 # Boolean normalization (shared by the optimizer)
 # --------------------------------------------------------------------------- #

@@ -11,8 +11,8 @@ one ``PScan`` becomes one :func:`repro.engine.scan.scan_table` call:
   predicate evaluated on decompressed chunk values whose zone-map decision
   comes from interval arithmetic over the expression tree;
 * ``"rows"`` conjuncts become :class:`ExprRowFilter` — multi-column
-  predicates (``col("a") < col("b")``) the old AND-only engine could not
-  express, evaluated against the scan's chunk-aligned shared buffers;
+  predicates (``col("a") < col("b")``), evaluated against the scan's
+  chunk-aligned shared buffers;
 * derived expressions become :class:`ExprDerive` specs, evaluated per chunk
   range against values gathered at the surviving positions.
 
@@ -48,7 +48,6 @@ from .expr import (
     Expr,
     IsInExpr,
     Literal,
-    WrappedPredicate,
 )
 
 __all__ = [
@@ -82,8 +81,7 @@ class LoweringOptions:
     use_pushdown: bool = True
     use_zone_maps: bool = True
     #: Keep filter conjuncts in source order instead of reordering them by
-    #: estimated selectivity.  Used by the ``Query`` compatibility shim to
-    #: stay bit-identical (including ``ScanStats``) with the seed engine.
+    #: estimated selectivity (a baseline for benchmarks and property tests).
     preserve_filter_order: bool = False
     #: Route eligible aggregates and sparse gathers through the
     #: compressed-domain kernels (:mod:`repro.engine.kernels`): scalar and
@@ -92,13 +90,6 @@ class LoweringOptions:
     #: reuses the codes as group codes.  Results are bit-identical; disable
     #: for a decompress-then-compute baseline (benchmarks).
     use_compressed_exec: bool = True
-    #: ``Query``-shim compatibility: keep aggregates on the materialising
-    #: path (their inputs flow through the scan) so ``ScanStats`` stays
-    #: field-for-field identical to the seed engine's one-scan execution,
-    #: while scan-internal compressed execution remains whatever
-    #: ``use_compressed_exec`` says (the seed comparison re-runs the same
-    #: scheduler).  Not a user-facing knob.
-    materialize_aggregates: bool = False
     #: How scans respond to faults — retries/backoff for failed chunk
     #: ranges, per-scan deadline, corruption quarantine, and the
     #: process → thread → serial degradation chain.  ``None`` means
@@ -230,9 +221,6 @@ def to_native_predicate(expr: Expr, table: Table) -> Optional[Predicate]:
     actual [min, max] (from chunk statistics) — never to sentinel values a
     narrow dtype could not compare against.
     """
-    if isinstance(expr, WrappedPredicate):
-        return expr.predicate
-
     if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
         if not (_is_plain_int(expr.low) and _is_plain_int(expr.high)):
             return None
@@ -486,7 +474,7 @@ def compressed_aggregate_plan(node: logical.Aggregate,
     """
     from ..schemes.base import KERNEL_GATHER, KERNEL_GROUP_CODES
 
-    if not options.use_compressed_exec or options.materialize_aggregates:
+    if not options.use_compressed_exec:
         return None
     child = node.child
     if not isinstance(child, logical.PScan) or child.always_empty \
@@ -850,8 +838,7 @@ def run_plan(root: logical.LogicalNode, options: LoweringOptions):
             stats.merge(partial)
     row_count = frame.row_count
     if isinstance(root, logical.Aggregate) and frame.aggregated_rows is not None:
-        # The seed engine reports the number of *qualifying input* rows for
-        # aggregate queries; keep that contract.
+        # Aggregate queries report the number of *qualifying input* rows.
         row_count = frame.aggregated_rows
     return QueryResult(columns=dict(frame.columns), scalars=dict(frame.scalars),
                        row_count=row_count, scan_stats=stats)

@@ -38,8 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..engine.predicates import Between as _Between, Equals as _Equals, \
-    IsIn as _IsIn
 from ..errors import QueryError
 from ..storage.table import Table
 from . import logical
@@ -49,7 +47,6 @@ from .expr import (
     Comparison,
     Expr,
     IsInExpr,
-    WrappedPredicate,
     normalize_boolean,
     split_conjuncts,
 )
@@ -223,17 +220,6 @@ def _extract_interval(expr: Expr
     """Decompose a simple single-column conjunct into
     ``(column, low, high, candidate_count)``; ``None`` bounds are open ends,
     ``candidate_count > 0`` marks point/membership predicates."""
-    if isinstance(expr, WrappedPredicate):
-        predicate = expr.predicate
-        if isinstance(predicate, _Between):
-            return predicate.column_name, predicate.bounds.low, \
-                predicate.bounds.high, 0
-        if isinstance(predicate, _Equals) and isinstance(predicate.value, int):
-            return predicate.column_name, predicate.value, predicate.value, 1
-        if isinstance(predicate, _IsIn):
-            return predicate.column_name, int(predicate.candidates.min()), \
-                int(predicate.candidates.max()), int(predicate.candidates.size)
-        return None
     if isinstance(expr, BetweenExpr) and isinstance(expr.operand, ColumnRef):
         try:
             return expr.operand.name, int(expr.low), int(expr.high), 0

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..columnar.compile import clear_caches
-from ..engine import Between, Query
+from ..api import col, dataset
 from ..io.reader import open_packed_table
 from ..io.writer import write_packed_table
 from ..schemes import (
@@ -96,10 +96,10 @@ def _window(table: Table, fraction: float) -> Tuple[int, int]:
 
 
 def _query(table: Table, bounds: Tuple[int, int]):
-    return (Query(table)
-            .filter(Between("ship_date", bounds[0], bounds[1]))
-            .aggregate("price", "sum")
-            .run())
+    return (dataset(table)
+            .filter(col("ship_date").between(bounds[0], bounds[1]))
+            .agg(col("price").sum())
+            .collect())
 
 
 def measure_selectivity(name: str, fraction: float, v1_dir: Path,

@@ -39,9 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..columnar.compile import clear_caches
+from ..engine import kernels
 from ..engine.operators import SelectionVector
 from ..engine.predicates import Between, Predicate
-from ..engine.pushdown import range_mask_on_form
 from ..engine.scan import resolve_parallelism, scan_table
 from ..schemes import FrameOfReference, NullSuppression, RunLengthEncoding
 from ..storage.table import Table
@@ -94,9 +94,10 @@ def seed_selection(table: Table, predicates: Sequence[Predicate],
                 continue
             mask = None
             if use_pushdown and isinstance(predicate, Between):
-                pushed = range_mask_on_form(chunk.form, predicate.bounds)
+                pushed = kernels.filter_range(chunk.scheme, chunk.form,
+                                              predicate.bounds)
                 if pushed is not None:
-                    mask = pushed[0].values
+                    mask = pushed[0]
             if mask is None:
                 mask = predicate.evaluate(chunk.decompress()).values
             pieces.append(np.flatnonzero(mask).astype(np.int64) + chunk.row_offset)

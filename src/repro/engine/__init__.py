@@ -1,4 +1,4 @@
-"""Query-execution substrate: predicates, pushdown, physical operators, queries.
+"""Query-execution substrate: predicates, pushdown, physical operators, scans.
 
 The engine exists to demonstrate — and measure — the paper's "why it
 matters": predicates evaluated on compressed forms (run domain, segment
@@ -7,13 +7,12 @@ late-materialisation execution where decompression happens only for the rows
 and columns a query actually needs.
 """
 
-from .predicates import And, Between, Equals, IsIn, Or, Predicate, RangeBounds
+from .predicates import Between, Equals, IsIn, Predicate, RangeBounds
 from .pushdown import (
     PushdownStats,
     count_in_range_on_runs,
     range_mask_on_dict,
     range_mask_on_for,
-    range_mask_on_form,
     range_mask_on_ns,
     range_mask_on_runs,
     sum_in_range_on_runs,
@@ -44,7 +43,7 @@ from .parallel import (
     packed_source_path,
     shutdown_pools,
 )
-from .query import JoinResult, Query, QueryResult, join_tables
+from .query import QueryResult
 from .resilience import DEFAULT_FAULT_POLICY, FaultPlan, FaultPolicy
 from .scan import (
     BACKENDS,
@@ -60,11 +59,8 @@ __all__ = [
     "Between",
     "Equals",
     "IsIn",
-    "And",
-    "Or",
     "RangeBounds",
     "PushdownStats",
-    "range_mask_on_form",
     "range_mask_on_runs",
     "range_mask_on_for",
     "range_mask_on_dict",
@@ -84,10 +80,7 @@ __all__ = [
     "group_codes_stored",
     "grouped_reduce",
     "hash_join",
-    "Query",
     "QueryResult",
-    "JoinResult",
-    "join_tables",
     "ScanResult",
     "scan_table",
     "gather_rows",

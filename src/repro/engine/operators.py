@@ -96,36 +96,12 @@ class ScanStats:
                      "workers_respawned", "fault_events")
 
     def merge_pushdown(self, stats: PushdownStats) -> None:
-        self.pushdown.rows_total += stats.rows_total
-        self.pushdown.rows_decoded += stats.rows_decoded
-        self.pushdown.segments_total += stats.segments_total
-        self.pushdown.segments_skipped += stats.segments_skipped
-        self.pushdown.segments_accepted += stats.segments_accepted
-        self.pushdown.runs_total += stats.runs_total
+        _add_counters(self.pushdown, stats, _PUSHDOWN_COUNTERS)
 
     def merge(self, other: "ScanStats") -> None:
         """Accumulate *other* into this instance (used by the scan scheduler
         to combine per-chunk-range partial stats deterministically)."""
-        self.chunks_total += other.chunks_total
-        self.chunks_skipped += other.chunks_skipped
-        self.chunks_fully_accepted += other.chunks_fully_accepted
-        self.chunks_pushed_down += other.chunks_pushed_down
-        self.chunks_decompressed += other.chunks_decompressed
-        self.chunks_short_circuited += other.chunks_short_circuited
-        self.predicates_total += other.predicates_total
-        self.rows_scanned += other.rows_scanned
-        self.rows_selected += other.rows_selected
-        self.rows_computed_compressed += other.rows_computed_compressed
-        self.bytes_decompressed_saved += other.bytes_decompressed_saved
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.hot_cache_hits += other.hot_cache_hits
-        self.hot_cache_misses += other.hot_cache_misses
-        self.hot_cache_evictions += other.hot_cache_evictions
-        self.chunks_quarantined += other.chunks_quarantined
-        self.ranges_retried += other.ranges_retried
-        self.workers_respawned += other.workers_respawned
-        self.fault_events += other.fault_events
+        _add_counters(self, other, _SCAN_COUNTERS)
         self.merge_pushdown(other.pushdown)
 
     def comparable(self) -> Dict[str, int]:
@@ -139,14 +115,25 @@ class ScanStats:
         process's caches happened to be, which legitimately differs between
         a serial run and a pool of workers with their own cache history.
         """
-        flat = {
-            name: getattr(self, name)
-            for name in (f.name for f in _dataclass_fields(self))
-            if name != "pushdown" and name not in self.WARMTH_FIELDS
-        }
-        for name in (f.name for f in _dataclass_fields(self.pushdown)):
+        flat = {name: getattr(self, name) for name in _SCAN_COUNTERS
+                if name not in self.WARMTH_FIELDS}
+        for name in _PUSHDOWN_COUNTERS:
             flat[f"pushdown.{name}"] = getattr(self.pushdown, name)
         return flat
+
+
+#: The counter fields :meth:`ScanStats.merge` adds, read once from the
+#: dataclass definitions (the scan merges once per chunk range, so the
+#: per-call ``dataclasses.fields`` lookup would be measurable).
+_SCAN_COUNTERS = tuple(f.name for f in _dataclass_fields(ScanStats)
+                       if f.name != "pushdown")
+_PUSHDOWN_COUNTERS = tuple(f.name for f in _dataclass_fields(PushdownStats))
+
+
+def _add_counters(into: Any, other: Any, names: Tuple[str, ...]) -> None:
+    mine, theirs = vars(into), vars(other)
+    for name in names:
+        mine[name] += theirs[name]
 
 
 @dataclass

@@ -47,12 +47,6 @@ class Predicate(abc.ABC):
         """
         return None
 
-    def __and__(self, other: "Predicate") -> "And":
-        return And(self, other)
-
-    def __or__(self, other: "Predicate") -> "Or":
-        return Or(self, other)
-
 
 @dataclass(frozen=True)
 class RangeBounds:
@@ -129,54 +123,3 @@ class IsIn(Predicate):
 
     def __repr__(self) -> str:
         return f"IsIn({self.column_name!r}, {self.candidates.tolist()!r})"
-
-
-class _Compound(Predicate):
-    """Base for AND/OR of two predicates over the *same* column.
-
-    (Cross-column conjunctions are handled at the query level by combining
-    masks; compound predicates exist so single-column pushdown can still be
-    applied to expressions like ``a BETWEEN x AND y OR a = z``.)
-    """
-
-    def __init__(self, left: Predicate, right: Predicate):
-        if left.column_name != right.column_name:
-            raise QueryError(
-                "compound predicates must reference a single column; combine "
-                "multi-column filters at the query level instead"
-            )
-        super().__init__(left.column_name)
-        self.left = left
-        self.right = right
-
-
-class And(_Compound):
-    """Conjunction of two predicates over the same column."""
-
-    def evaluate(self, values: Column) -> Column:
-        return Column(self.left.evaluate(values).values & self.right.evaluate(values).values)
-
-    def chunk_decision(self, statistics: ColumnStatistics) -> Optional[bool]:
-        left = self.left.chunk_decision(statistics)
-        right = self.right.chunk_decision(statistics)
-        if left is False or right is False:
-            return False
-        if left is True and right is True:
-            return True
-        return None
-
-
-class Or(_Compound):
-    """Disjunction of two predicates over the same column."""
-
-    def evaluate(self, values: Column) -> Column:
-        return Column(self.left.evaluate(values).values | self.right.evaluate(values).values)
-
-    def chunk_decision(self, statistics: ColumnStatistics) -> Optional[bool]:
-        left = self.left.chunk_decision(statistics)
-        right = self.right.chunk_decision(statistics)
-        if left is True or right is True:
-            return True
-        if left is False and right is False:
-            return False
-        return None

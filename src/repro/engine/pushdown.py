@@ -16,7 +16,8 @@ schemes expose a coarse view of the data, many predicates can be evaluated
   range, so the predicate runs on the narrow codes.
 
 Every function returns both the result and a :class:`PushdownStats` so the
-benchmarks can report how much work was avoided.
+benchmarks can report how much work was avoided.  Choosing the function for
+a chunk's form is :func:`repro.engine.kernels.filter_range`'s job.
 """
 
 from __future__ import annotations
@@ -329,28 +330,3 @@ def range_mask_on_ns(form: CompressedForm, bounds: RangeBounds
         values = form.constituent("values").values
         mask = (values >= np.uint64(lo)) & (values <= np.uint64(hi))
     return Column(mask), stats
-
-
-# --------------------------------------------------------------------------- #
-# Dispatch
-# --------------------------------------------------------------------------- #
-
-def range_mask_on_form(form: CompressedForm, bounds: RangeBounds
-                       ) -> Optional[Tuple[Column, PushdownStats]]:
-    """Evaluate a range predicate on *form* without full decompression, if supported.
-
-    Returns ``None`` when no pushdown strategy applies to the form's scheme
-    (the caller should then decompress and filter normally).  This is the
-    single-layer dispatch; the capability-driven dispatch — which also peels
-    cascades and consults each scheme's advertised kernels — lives in
-    :func:`repro.engine.kernels.filter_range`.
-    """
-    if form.scheme in ("RLE", "RPE"):
-        return range_mask_on_runs(form, bounds)
-    if form.scheme in ("FOR", "PFOR"):
-        return range_mask_on_for(form, bounds)
-    if form.scheme == "DICT":
-        return range_mask_on_dict(form, bounds)
-    if form.scheme == "NS":
-        return range_mask_on_ns(form, bounds)
-    return None

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..engine import Between, Query
+from ..api import col, dataset
 from ..schemes import (
     Cascade,
     Delta,
@@ -74,14 +74,14 @@ def _column_digest(values: np.ndarray) -> str:
 
 
 def _run_queries(table: Table) -> Dict[str, Any]:
-    selective = (Query(table)
-                 .filter(Between("ship_date", 100, 160))
-                 .aggregate("price", "sum")
-                 .run())
-    broad = (Query(table)
-             .filter(Between("quantity", 0, 255))
-             .aggregate("quantity", "count")
-             .run())
+    selective = (dataset(table)
+                 .filter(col("ship_date").between(100, 160))
+                 .agg(col("price").sum())
+                 .collect())
+    broad = (dataset(table)
+             .filter(col("quantity").between(0, 255))
+             .agg(col("quantity").count())
+             .collect())
     return {
         "selective_sum_price": int(selective.scalars["sum(price)"]),
         "selective_rows": int(selective.row_count),

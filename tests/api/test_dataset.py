@@ -5,6 +5,9 @@ import pytest
 
 import repro.api.lower as lower_module
 from repro.api import Dataset, col, count, dataset, lit
+from repro.engine import shutdown_pools
+from repro.errors import QueryError
+from repro.io import open_table, save_table
 from repro.schemes import (
     DictionaryEncoding,
     FrameOfReference,
@@ -297,6 +300,46 @@ class TestAggregation:
         buckets, counts = np.unique(data["quantity"] // 16, return_counts=True)
         assert np.array_equal(result.column("bucket").values, buckets)
         assert np.array_equal(result.column("count(*)").values, counts)
+
+
+@pytest.fixture(scope="module")
+def packed_table(table, tmp_path_factory):
+    path = save_table(table, tmp_path_factory.mktemp("dataset") / "t.rpk")
+    yield open_table(path).table
+    shutdown_pools()
+
+
+#: Plans whose selection is empty, one per execution path: serial compressed
+#: execution, process workers, decompress-then-compute, and a multi-column
+#: row filter evaluated after the per-column cascade.
+EMPTY_SELECTIONS = {
+    "serial": lambda t, packed: dataset(t).filter(col("quantity") > 1_000),
+    "process": lambda t, packed: (dataset(packed).filter(col("quantity") > 1_000)
+                                  .with_backend("process", workers=2)),
+    "decompressed": lambda t, packed: (dataset(t).filter(col("quantity") > 1_000)
+                                       .without_compressed_execution()),
+    "row_filter": lambda t, packed: dataset(t).filter(col("quantity") > col("price")),
+}
+
+
+class TestEmptySelection:
+    """The contract over zero qualifying rows: a scalar sum/min/max/mean has
+    no value and raises QueryError, count is 0, and a grouped aggregate
+    returns empty columns."""
+
+    @pytest.mark.parametrize("variant", sorted(EMPTY_SELECTIONS))
+    def test_aggregate_contract(self, table, packed_table, variant):
+        empty = EMPTY_SELECTIONS[variant](table, packed_table)
+        for op in ("sum", "min", "max", "mean"):
+            with pytest.raises(QueryError, match=f"aggregate '{op}' over zero rows"):
+                empty.agg(getattr(col("price"), op)()).collect()
+        result = empty.agg(col("price").count(), count()).collect()
+        assert result.scalars == {"count(price)": 0, "count(*)": 0}
+        assert result.row_count == 0
+        grouped = empty.group_by("discount").agg(col("price").sum(), count()).collect()
+        assert list(grouped.columns) == ["discount", "sum(price)", "count(*)"]
+        assert all(len(column) == 0 for column in grouped.columns.values())
+        assert grouped.row_count == 0
 
 
 class TestSortLimitJoin:

@@ -1,19 +1,22 @@
-"""Tests for the physical operators and the fluent query API."""
+"""Tests for the physical operators and the query API over them."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from repro.api import col, count, dataset
 from repro.columnar import Column
 from repro.engine import (
     Between,
     Equals,
-    Query,
+    PushdownStats,
+    ScanStats,
     SelectionVector,
     aggregate,
     filter_table,
     group_by_aggregate,
     hash_join,
-    join_tables,
 )
 from repro.errors import QueryError
 from repro.schemes import DictionaryEncoding, FrameOfReference, NullSuppression, RunLengthEncoding
@@ -200,43 +203,43 @@ class TestQueryAPI:
     def test_filter_aggregate(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 160
-        result = (Query(lineitem_table)
-                  .filter(Between("ship_date", lo, hi))
-                  .aggregate("quantity", "sum")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("ship_date").between(lo, hi))
+                  .agg(col("quantity").sum())
+                  .collect())
         mask = (lineitem_plain["ship_date"] >= lo) & (lineitem_plain["ship_date"] <= hi)
         assert result.scalars["sum(quantity)"] == int(lineitem_plain["quantity"][mask].sum())
         assert result.row_count == int(mask.sum())
 
     def test_count_star(self, lineitem_table):
-        result = Query(lineitem_table).aggregate("*", "count").run()
+        result = dataset(lineitem_table).agg(count()).collect()
         assert result.scalars["count(*)"] == lineitem_table.row_count
 
     def test_projection(self, lineitem_table, lineitem_plain):
-        result = (Query(lineitem_table)
-                  .filter(Equals("discount", 3))
-                  .project("quantity", "discount")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("discount") == 3)
+                  .select("quantity", "discount")
+                  .collect())
         assert set(result.columns) == {"quantity", "discount"}
         assert np.all(result.columns["discount"].values == 3)
 
     def test_multi_column_filters_intersect(self, lineitem_table, lineitem_plain, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 400
-        result = (Query(lineitem_table)
-                  .filter(Between("ship_date", lo, hi))
-                  .filter(Between("quantity", 10, 20))
-                  .aggregate("*", "count")
-                  .run())
+        result = (dataset(lineitem_table)
+                  .filter(col("ship_date").between(lo, hi))
+                  .filter(col("quantity").between(10, 20))
+                  .agg(count())
+                  .collect())
         mask = ((lineitem_plain["ship_date"] >= lo) & (lineitem_plain["ship_date"] <= hi)
                 & (lineitem_plain["quantity"] >= 10) & (lineitem_plain["quantity"] <= 20))
         assert result.scalars["count(*)"] == int(mask.sum())
 
     def test_group_by(self, lineitem_table, lineitem_plain):
-        result = (Query(lineitem_table)
-                  .aggregate("quantity", "sum")
+        result = (dataset(lineitem_table)
                   .group_by("discount")
-                  .run())
+                  .agg(col("quantity").sum())
+                  .collect())
         keys = result.columns["discount"].values
         sums = result.columns["sum(quantity)"].values
         for key, total in zip(keys, sums):
@@ -245,89 +248,87 @@ class TestQueryAPI:
 
     def test_group_by_without_aggregate_rejected(self, lineitem_table):
         with pytest.raises(QueryError):
-            Query(lineitem_table).group_by("discount").run()
+            dataset(lineitem_table).group_by("discount").collect()
 
     def test_no_filters_returns_all_rows(self, lineitem_table):
-        result = Query(lineitem_table).project("quantity").run()
+        result = dataset(lineitem_table).select("quantity").collect()
         assert result.row_count == lineitem_table.row_count
 
     def test_unknown_columns_rejected(self, lineitem_table):
         with pytest.raises(QueryError):
-            Query(lineitem_table).filter(Between("missing", 0, 1))
+            dataset(lineitem_table).filter(col("missing").between(0, 1))
         with pytest.raises(QueryError):
-            Query(lineitem_table).project("missing")
+            dataset(lineitem_table).select("missing")
         with pytest.raises(QueryError):
-            Query(lineitem_table).aggregate("missing", "sum")
+            dataset(lineitem_table).agg(col("missing").sum())
         with pytest.raises(QueryError):
-            Query(lineitem_table).group_by("missing")
+            dataset(lineitem_table).group_by("missing")
 
     def test_without_pushdown_matches(self, lineitem_table, workload):
         lo = workload.date_range.start + 40
         hi = workload.date_range.start + 160
-        fast = Query(lineitem_table).filter(Between("ship_date", lo, hi)) \
-            .aggregate("price", "sum").run()
-        slow = Query(lineitem_table).without_pushdown().without_zone_maps() \
-            .filter(Between("ship_date", lo, hi)).aggregate("price", "sum").run()
+        query = (dataset(lineitem_table)
+                 .filter(col("ship_date").between(lo, hi))
+                 .agg(col("price").sum()))
+        fast = query.collect()
+        slow = query.without_pushdown().without_zone_maps().collect()
         assert fast.scalars == slow.scalars
 
     def test_result_column_access(self, lineitem_table):
-        result = Query(lineitem_table).project("quantity").run()
+        result = dataset(lineitem_table).select("quantity").collect()
         assert len(result.column("quantity")) == lineitem_table.row_count
         with pytest.raises(QueryError):
             result.column("nope")
 
 
 class TestJoin:
-    def test_join_tables(self, workload):
+    @staticmethod
+    def _joined(workload):
         orders = Table.from_columns(workload.orders, chunk_size=4096)
         lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        with pytest.warns(DeprecationWarning):
-            out = join_tables(lineitem, orders, "order_id", "order_id",
-                              project_left=["quantity"],
-                              project_right=["customer_id"])
-            assert len(out["left.quantity"]) == len(out["right.customer_id"])
-            # every lineitem matches exactly one order
-            assert len(out["left.quantity"]) == workload.num_lineitems
+        return (dataset(lineitem)
+                .join(dataset(orders), on="order_id")
+                .select("quantity", "customer_id")
+                .collect())
+
+    def test_join(self, workload):
+        out = self._joined(workload)
+        assert len(out.column("quantity")) == len(out.column("customer_id"))
+        # every lineitem matches exactly one order
+        assert out.row_count == workload.num_lineitems
 
     def test_join_result_is_queryable(self, workload):
-        from repro.api import col, dataset
-
-        orders = Table.from_columns(workload.orders, chunk_size=4096)
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        out = join_tables(lineitem, orders, "order_id", "order_id",
-                          project_left=["quantity"],
-                          project_right=["customer_id"])
-        assert out.row_count == workload.num_lineitems
-        assert set(out.column_names) == {"left.quantity", "right.customer_id"}
+        out = self._joined(workload)
+        assert set(out.columns) == {"quantity", "customer_id"}
 
         # The join output round-trips into a compressed table...
-        table = out.as_table(chunk_size=4096)
+        table = out.to_table(chunk_size=4096)
         assert table.row_count == out.row_count
         # ...and can be queried again through the lazy API.
         total = (dataset(table)
-                 .agg(col("left.quantity").sum())
+                 .agg(col("quantity").sum())
                  .collect()
-                 .scalars["sum(left.quantity)"])
-        assert total == int(out.column("left.quantity").values.sum())
-
-    def test_join_result_deprecated_accessors(self, workload):
-        orders = Table.from_columns(workload.orders, chunk_size=4096)
-        lineitem = Table.from_columns(workload.lineitem, chunk_size=4096)
-        out = join_tables(lineitem, orders, "order_id", "order_id")
-        with pytest.warns(DeprecationWarning):
-            raw = out.to_dict()
-        assert set(raw) == {"left.order_id", "right.order_id"}
-        # Every dict idiom the old return type supported still works (warned).
-        with pytest.warns(DeprecationWarning):
-            assert len(out) == 2
-        with pytest.warns(DeprecationWarning):
-            assert "left.order_id" in out
-        with pytest.warns(DeprecationWarning):
-            assert sorted(out) == ["left.order_id", "right.order_id"]
-        with pytest.warns(DeprecationWarning):
-            assert {name for name, __ in out.items()} == set(out.keys())
+                 .scalars["sum(quantity)"])
+        assert total == int(out.column("quantity").values.sum())
         with pytest.raises(QueryError):
             out.column("missing")
+
+
+class TestScanStats:
+    def test_merge_adds_every_counter(self):
+        """Every counter of ScanStats and its nested PushdownStats takes part
+        in merge(): give each a distinct nonzero value and check it doubles."""
+        stats = ScanStats()
+        counters = [(stats, f.name) for f in fields(ScanStats) if f.name != "pushdown"]
+        counters += [(stats.pushdown, f.name) for f in fields(PushdownStats)]
+        for value, (record, name) in enumerate(counters, start=1):
+            setattr(record, name, value)
+        other = ScanStats()
+        other.merge(stats)
+        other.merge(stats)
+        for value, (record, name) in enumerate(counters, start=1):
+            merged = other if record is stats else other.pushdown
+            assert getattr(merged, name) == 2 * value, name
 
 
 class TestSelectionVector:

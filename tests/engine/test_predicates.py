@@ -1,10 +1,13 @@
 """Tests for predicates and their zone-map (chunk statistics) decisions."""
+import numpy as np
 import pytest
 
+from repro.api import col
+from repro.api.lower import ExprPredicate, ExprRowFilter, classify_conjunct
 from repro.columnar import Column
 from repro.engine import Between, Equals, IsIn, RangeBounds
 from repro.errors import QueryError
-from repro.storage import compute_statistics
+from repro.storage import Table, compute_statistics
 
 
 class TestBetween:
@@ -64,30 +67,50 @@ class TestIsIn:
 
 
 class TestCompound:
+    """Same-column conjunctions and disjunctions, written in the DSL and
+    evaluated by the engine as one :class:`ExprPredicate`."""
+
+    @staticmethod
+    def _predicate(expr):
+        return ExprPredicate(expr, "x", trust_bounds=True)
+
     def test_and_evaluate(self):
-        predicate = Between("x", 2, 8) & Equals("x", 5)
+        predicate = self._predicate(col("x").between(2, 8) & (col("x") == 5))
         mask = predicate.evaluate(Column([1, 5, 7]))
         assert mask.to_pylist() == [False, True, False]
 
     def test_or_evaluate(self):
-        predicate = Equals("x", 1) | Equals("x", 3)
+        predicate = self._predicate((col("x") == 1) | (col("x") == 3))
         mask = predicate.evaluate(Column([1, 2, 3]))
         assert mask.to_pylist() == [True, False, True]
 
     def test_and_chunk_decision(self):
         stats = compute_statistics(Column([10, 20]))
-        assert (Between("x", 0, 100) & Between("x", 200, 300)).chunk_decision(stats) is False
-        assert (Between("x", 0, 100) & Between("x", 5, 50)).chunk_decision(stats) is True
-        assert (Between("x", 0, 100) & Between("x", 15, 50)).chunk_decision(stats) is None
+        x = col("x")
+        assert self._predicate(x.between(0, 100) & x.between(200, 300)) \
+            .chunk_decision(stats) is False
+        assert self._predicate(x.between(0, 100) & x.between(5, 50)) \
+            .chunk_decision(stats) is True
+        assert self._predicate(x.between(0, 100) & x.between(15, 50)) \
+            .chunk_decision(stats) is None
 
     def test_or_chunk_decision(self):
         stats = compute_statistics(Column([10, 20]))
-        assert (Between("x", 0, 5) | Between("x", 0, 100)).chunk_decision(stats) is True
-        assert (Between("x", 0, 5) | Between("x", 50, 60)).chunk_decision(stats) is False
+        x = col("x")
+        assert self._predicate(x.between(0, 5) | x.between(0, 100)) \
+            .chunk_decision(stats) is True
+        assert self._predicate(x.between(0, 5) | x.between(50, 60)) \
+            .chunk_decision(stats) is False
 
-    def test_cross_column_compound_rejected(self):
-        with pytest.raises(QueryError):
-            Between("x", 1, 2) & Between("y", 1, 2)
+    def test_cross_column_compound_is_a_row_filter(self):
+        table = Table.from_columns({"x": Column([1, 2, 3]), "y": Column([3, 2, 1])})
+        conjunct = classify_conjunct(col("x").between(1, 2) | col("y").between(1, 2),
+                                     table, source_order=0)
+        assert conjunct.kind == "rows"
+        assert isinstance(conjunct.lowered, ExprRowFilter)
+        mask = conjunct.lowered.evaluate({"x": np.array([1, 3, 3]),
+                                          "y": np.array([5, 2, 9])})
+        assert mask.tolist() == [True, True, False]
 
 
 class TestRangeBounds:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.api import col, count, dataset
 from repro.columnar import Column
-from repro.engine import Between, Query, filter_table, scan_table
+from repro.engine import Between, filter_table, scan_table
 from repro.engine.scan import gather_rows
 from repro.errors import QueryError
 from repro.schemes import (
@@ -131,11 +132,11 @@ class TestMergedStats:
         assert merged.pushdown.segments_total > 0 and merged.pushdown.runs_total > 0
 
     def test_query_reports_merged_stats(self, table):
-        result = (Query(table)
-                  .filter(Between("date", 50, 320))
-                  .filter(Between("price", 4_900, 5_250))
-                  .aggregate("*", "count")
-                  .run())
+        result = (dataset(table)
+                  .filter(col("date").between(50, 320))
+                  .filter(col("price").between(4_900, 5_250))
+                  .agg(count())
+                  .collect())
         assert result.scan_stats.predicates_total == 2
         assert result.scan_stats.chunks_total == 2 * table.column("date").num_chunks
 
@@ -209,15 +210,14 @@ class TestEveryRegisteredScheme:
 
 class TestQueryParallelism:
     def test_with_parallelism_bit_identical(self, table):
-        def query():
-            return (Query(table)
-                    .filter(Between("date", 50, 320))
-                    .filter(Between("price", 4_900, 5_250))
-                    .filter(Between("qty", 5, 40))
-                    .project("date", "price", "qty", "cat"))
+        query = (dataset(table)
+                 .filter(col("date").between(50, 320))
+                 .filter(col("price").between(4_900, 5_250))
+                 .filter(col("qty").between(5, 40))
+                 .select("date", "price", "qty", "cat"))
 
-        serial = query().run()
-        parallel = query().with_parallelism(4).run()
+        serial = query.collect()
+        parallel = query.with_parallelism(4).collect()
         assert serial.row_count == parallel.row_count
         for name in ("date", "price", "qty", "cat"):
             assert np.array_equal(serial.columns[name].values,
@@ -225,11 +225,10 @@ class TestQueryParallelism:
             assert serial.columns[name].dtype == parallel.columns[name].dtype
 
     def test_group_by_parallel(self, table, plain_data):
-        serial = (Query(table).filter(Between("date", 50, 320))
-                  .aggregate("qty", "sum").group_by("cat").run())
-        parallel = (Query(table).filter(Between("date", 50, 320))
-                    .aggregate("qty", "sum").group_by("cat")
-                    .with_parallelism(4).run())
+        query = (dataset(table).filter(col("date").between(50, 320))
+                 .group_by("cat").agg(col("qty").sum()))
+        serial = query.collect()
+        parallel = query.with_parallelism(4).collect()
         assert np.array_equal(serial.columns["cat"].values,
                               parallel.columns["cat"].values)
         assert np.array_equal(serial.columns["sum(qty)"].values,
@@ -237,7 +236,7 @@ class TestQueryParallelism:
 
     def test_invalid_parallelism_rejected(self, table):
         with pytest.raises(QueryError):
-            Query(table).with_parallelism(0)
+            dataset(table).with_parallelism(0)
 
 
 class TestAcceptanceScenario:

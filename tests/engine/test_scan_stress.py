@@ -15,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.api import col, dataset
 from repro.columnar.compile import cache_info, clear_caches
-from repro.engine import Between, Query, scan_table
+from repro.engine import Between, scan_table
 from repro.schemes import (
     Delta,
     DictionaryEncoding,
@@ -102,10 +103,10 @@ class TestConcurrentScans:
         def run(job):
             name, (values, table) = job
             lo, hi = int(values.min()) + 1, int(values.max()) - 1
-            serial = (Query(table).filter(Between(name, lo, hi))
-                      .aggregate(name, "sum").run())
-            parallel = (Query(table).filter(Between(name, lo, hi))
-                        .aggregate(name, "sum").with_parallelism(4).run())
+            query = (dataset(table).filter(col(name).between(lo, hi))
+                     .agg(col(name).sum()))
+            serial = query.collect()
+            parallel = query.with_parallelism(4).collect()
             return serial.scalars == parallel.scalars
 
         with ThreadPoolExecutor(max_workers=5) as pool:

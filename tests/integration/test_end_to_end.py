@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from repro.engine import Between, Query, join_tables
+from repro.api import col, dataset
 from repro.planner import advise, choose_scheme, plan_for_intent
 from repro.schemes import (
     Cascade,
@@ -55,11 +55,10 @@ class TestQueriesOnCompressedData:
         hi = workload.date_range.start + 200
 
         def run(table):
-            return (Query(table)
-                    .filter(Between("ship_date", lo, hi))
-                    .aggregate("price", "sum")
-                    .aggregate("quantity", "mean")
-                    .run())
+            return (dataset(table)
+                    .filter(col("ship_date").between(lo, hi))
+                    .agg(col("price").sum(), col("quantity").mean())
+                    .collect())
 
         compressed_result = run(compressed_lineitem)
         plain_result = run(plain)
@@ -69,10 +68,10 @@ class TestQueriesOnCompressedData:
         assert compressed_result.row_count == plain_result.row_count
 
     def test_group_by_on_compressed(self, compressed_lineitem, workload):
-        result = (Query(compressed_lineitem)
-                  .aggregate("price", "sum")
+        result = (dataset(compressed_lineitem)
                   .group_by("discount")
-                  .run())
+                  .agg(col("price").sum())
+                  .collect())
         data = workload.lineitem
         totals = {int(k): int(v) for k, v in zip(result.columns["discount"].values,
                                                  result.columns["sum(price)"].values)}
@@ -83,9 +82,11 @@ class TestQueriesOnCompressedData:
     def test_join_lineitem_to_orders(self, workload):
         lineitem = Table.from_columns(workload.lineitem, chunk_size=8192)
         orders = Table.from_columns(workload.orders, chunk_size=8192)
-        joined = join_tables(lineitem, orders, "order_id", "order_id",
-                             project_left=["price"], project_right=["order_date"])
-        assert len(joined.column("left.price")) == workload.num_lineitems
+        joined = (dataset(lineitem)
+                  .join(dataset(orders), on="order_id")
+                  .select("price", "order_date")
+                  .collect())
+        assert len(joined.column("price")) == workload.num_lineitems
         assert joined.row_count == workload.num_lineitems
 
 
@@ -146,10 +147,10 @@ class TestPaperNarrativeEndToEnd:
         )
         lo = workload.date_range.start + 50
         hi = workload.date_range.start + 300
-        result = (Query(table)
-                  .filter(Between("ship_date", lo, hi))
-                  .aggregate("quantity", "sum")
-                  .run())
+        result = (dataset(table)
+                  .filter(col("ship_date").between(lo, hi))
+                  .agg(col("quantity").sum())
+                  .collect())
         data = workload.lineitem
         mask = (data["ship_date"].values >= lo) & (data["ship_date"].values <= hi)
         assert result.scalars["sum(quantity)"] == int(data["quantity"].values[mask].sum())

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Between, Query
+from repro.api import col, dataset
 from repro.errors import StorageError
 from repro.io import CATALOG_FILE, Catalog
 from repro.schemes import NullSuppression, RunLengthEncoding
@@ -50,10 +50,10 @@ class TestCatalogBasics:
         catalog.save("orders", table)
         handle = catalog.open("orders")
         assert handle.bytes_mapped == 0
-        got = (Query(catalog.table("orders")).filter(Between("k", 10, 20))
-               .aggregate("v", "sum").run())
-        want = (Query(table).filter(Between("k", 10, 20))
-                .aggregate("v", "sum").run())
+        got = (dataset(catalog.table("orders")).filter(col("k").between(10, 20))
+               .agg(col("v").sum()).collect())
+        want = (dataset(table).filter(col("k").between(10, 20))
+                .agg(col("v").sum()).collect())
         assert got.scalars == want.scalars
         assert 0 < handle.bytes_mapped < handle.file_size
 

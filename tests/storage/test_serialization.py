@@ -104,14 +104,13 @@ class TestColumnAndTablePersistence:
             assert loaded.column(name).materialize().equals(
                 table.column(name).materialize()), name
 
-        from repro.engine import Between, Query
+        from repro.api import col, dataset
 
         lo = workload.date_range.start + 20
         hi = workload.date_range.start + 80
-        original = Query(table).filter(Between("ship_date", lo, hi)) \
-            .aggregate("price", "sum").run()
-        reloaded = Query(loaded).filter(Between("ship_date", lo, hi)) \
-            .aggregate("price", "sum").run()
+        window = col("ship_date").between(lo, hi)
+        original = dataset(table).filter(window).agg(col("price").sum()).collect()
+        reloaded = dataset(loaded).filter(window).agg(col("price").sum()).collect()
         assert original.scalars == reloaded.scalars
 
     def test_missing_table_manifest_rejected(self, tmp_path):
